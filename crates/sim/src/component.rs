@@ -399,7 +399,10 @@ where
     ///
     /// * [`SimError::DeadlineMiss`] under [`MissPolicy::Fail`];
     /// * [`SimError::EventLimitExceeded`] if the runaway guard trips.
-    pub(crate) fn step(&mut self, ctx: &mut Option<&mut ComponentCtx<'_>>) -> Result<Step, SimError> {
+    pub(crate) fn step(
+        &mut self,
+        ctx: &mut Option<&mut ComponentCtx<'_>>,
+    ) -> Result<Step, SimError> {
         self.events += 1;
         if self.events > self.max_events {
             return Err(SimError::EventLimitExceeded {
@@ -462,12 +465,7 @@ where
                         TaskKind::Sporadic { .. } => self.model_report.sporadic_jobs += 1,
                         TaskKind::Frame { .. } => {
                             self.model_report.frame_jobs += 1;
-                            note(
-                                ctx.as_deref_mut(),
-                                now,
-                                EventKind::FrameBoundary,
-                                self.sink,
-                            );
+                            note(ctx.as_deref_mut(), now, EventKind::FrameBoundary, self.sink);
                         }
                     }
                 }
@@ -597,13 +595,15 @@ where
                         self.scratch.next_index[i],
                         self.scratch.hot.period[i],
                     );
-                    self.scratch
-                        .releases
-                        .set_time(i, (nominal + delay).max(release + self.scratch.hot.period[i]));
+                    self.scratch.releases.set_time(
+                        i,
+                        (nominal + delay).max(release + self.scratch.hot.period[i]),
+                    );
                 } else {
-                    self.scratch
-                        .releases
-                        .set_time(i, self.scratch.hot.release_of(i, self.scratch.next_index[i]));
+                    self.scratch.releases.set_time(
+                        i,
+                        self.scratch.hot.release_of(i, self.scratch.next_index[i]),
+                    );
                 }
                 self.release_epoch += 1;
                 if !fault_shed {
@@ -749,7 +749,9 @@ where
             let speed = self
                 .governor
                 .select_speed(&view, self.scratch.ready.job(ji));
-            review = self.governor.review_after(&view, self.scratch.ready.job(ji));
+            review = self
+                .governor
+                .review_after(&view, self.scratch.ready.job(ji));
             speed
         };
         let mut speed = self.processor.quantize_up(requested);
@@ -1013,8 +1015,7 @@ where
                     TaskKind::Hard | TaskKind::Sporadic { .. } => {}
                     TaskKind::WeaklyHard { .. } => {
                         if on_time {
-                            self.scratch.mk_met[record.id.task.0] |=
-                                1u64 << (record.id.index % 64);
+                            self.scratch.mk_met[record.id.task.0] |= 1u64 << (record.id.index % 64);
                         }
                     }
                     TaskKind::Frame { .. } => {

@@ -350,8 +350,13 @@ impl PlatformSim {
         E: ExecutionSource,
     {
         let ledger = BudgetLedger::new(cap_watts, self.cores.len())?;
-        let (outcome, report) =
-            self.run_kernel_backed(make_governor, execs, &FaultPlan::NONE, Some(ledger), scratch)?;
+        let (outcome, report) = self.run_kernel_backed(
+            make_governor,
+            execs,
+            &FaultPlan::NONE,
+            Some(ledger),
+            scratch,
+        )?;
         Ok((outcome, report.unwrap_or_default()))
     }
 
@@ -397,12 +402,9 @@ impl PlatformSim {
         // Build the engines in core order — every core (idle or not) gets
         // a fresh governor instance, so factory side effects stay
         // core-ordered exactly as under sequential stepping.
-        let mut engines: Vec<Option<CoreEngine<'_, Box<dyn Governor>, E>>> =
-            Vec::with_capacity(n);
+        let mut engines: Vec<Option<CoreEngine<'_, Box<dyn Governor>, E>>> = Vec::with_capacity(n);
         idle_names.clear();
-        for ((core, sim), core_scratch) in
-            self.cores.iter().enumerate().zip(per_core.iter_mut())
-        {
+        for ((core, sim), core_scratch) in self.cores.iter().enumerate().zip(per_core.iter_mut()) {
             let governor = make_governor(core);
             match sim {
                 Some(sim) => {
@@ -462,9 +464,7 @@ impl PlatformSim {
         for (core, engine) in engines.into_iter().enumerate() {
             let outcome = match engine {
                 Some(engine) => engine.finish(kernel.stats_for(ComponentId(core)))?,
-                None => {
-                    self.idle_outcome(core, idle_names[core].as_deref().unwrap_or_default())
-                }
+                None => self.idle_outcome(core, idle_names[core].as_deref().unwrap_or_default()),
             };
             outcomes.push(outcome);
         }
