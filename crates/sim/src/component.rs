@@ -17,9 +17,11 @@
 //! surfaced in [`crate::SimOutcome::kernel`] — unbudgeted runs take no
 //! shared-state branch and are unperturbed by them.
 
+use std::collections::BinaryHeap;
+
 use stadvs_power::{EnergyAccumulator, Processor, Speed};
 
-use crate::event::{ComponentId, EventKind, EventQueue, SimEvent, EVENT_KINDS};
+use crate::event::{ComponentId, EventKind, QueuedEvent, SimEvent, EVENT_KINDS};
 use crate::exec::ExecutionSource;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, OverrunPolicy};
 use crate::governor::{Governor, SchedulerView};
@@ -53,7 +55,7 @@ pub trait EventHandler {
 /// the clock, emit future events (stamped with the component's own
 /// sequence counter), and reach the run-scoped [`SharedState`].
 pub struct ComponentCtx<'k> {
-    pub(crate) queue: &'k mut EventQueue,
+    pub(crate) queue: &'k mut BinaryHeap<QueuedEvent>,
     pub(crate) seqs: &'k mut [u64],
     pub(crate) emitted: &'k mut [[u64; EVENT_KINDS]],
     pub(crate) now: f64,
@@ -96,7 +98,7 @@ impl ComponentCtx<'_> {
         let seq = self.seqs[s];
         self.seqs[s] += 1;
         self.emitted[s][kind.index()] += 1;
-        self.queue.push(
+        self.queue.push(QueuedEvent::new(
             SimEvent {
                 // Clamp within tolerance: queue times must be monotone.
                 time: time.max(self.now),
@@ -105,7 +107,7 @@ impl ComponentCtx<'_> {
                 target,
             },
             seq,
-        );
+        ));
     }
 }
 

@@ -1,25 +1,31 @@
 //! The discrete-event simulation kernel: a shared deterministic clock,
 //! the typed event queue, and per-component event accounting.
 //!
-//! A [`Kernel`] owns the clock and one [`crate::SimEvent`] queue; the
-//! components it drives (core engines, trace sinks, the budget observer)
-//! implement [`crate::EventHandler`] and are addressed by caller-assigned
+//! A [`Kernel`] owns the clock and the event queue; the components it
+//! drives (core engines, trace sinks, the budget observer) implement
+//! [`crate::EventHandler`] and are addressed by caller-assigned
 //! [`ComponentId`] slots. [`Kernel::run`] pops events in the total
 //! `(time, seq, source)` order and delivers each to its target with a
 //! [`crate::ComponentCtx`] through which the component reads the clock,
 //! emits future events, and reaches the run-scoped [`SharedState`]
 //! (currently the optional power-budget ledger).
 //!
+//! The queue is one `std::collections::BinaryHeap` of queued events,
+//! ordered by the reversed `(time, seq, source)` key so the max-heap pops
+//! the minimum; the kernel lends it to each [`crate::ComponentCtx`] as is.
+//!
 //! Allocation discipline: the kernel lives inside the run scratch
 //! ([`crate::SimScratch`] / [`crate::PlatformScratch`]) and
-//! [`Kernel::reset`] reuses the queue buffer and counter tables across
-//! runs — the steady-state event path allocates nothing and boxes
-//! nothing (components are pre-registered in an index-addressed slice;
-//! events are `Copy`).
+//! [`Kernel::reset`] clears the heap (keeping its buffer) and reuses the
+//! counter tables across runs — the steady-state event path allocates
+//! nothing and boxes nothing (components are pre-registered in an
+//! index-addressed slice; events are `Copy`).
+
+use std::collections::BinaryHeap;
 
 use crate::budget::BudgetLedger;
 use crate::component::{ComponentCtx, EventHandler};
-use crate::event::{ComponentId, EventKind, EventQueue, SimEvent, EVENT_KINDS};
+use crate::event::{ComponentId, EventKind, QueuedEvent, SimEvent, EVENT_KINDS};
 use crate::SimError;
 
 /// Per-component event counters, by [`EventKind`] slot
@@ -70,7 +76,7 @@ pub struct SharedState {
 /// sequence counters and event accounting.
 #[derive(Debug, Clone, Default)]
 pub struct Kernel {
-    queue: EventQueue,
+    queue: BinaryHeap<QueuedEvent>,
     seqs: Vec<u64>,
     emitted: Vec<[u64; EVENT_KINDS]>,
     handled: Vec<[u64; EVENT_KINDS]>,
@@ -121,12 +127,6 @@ impl Kernel {
         self.queue.len()
     }
 
-    /// The event queue's timing-wheel occupancy counters for the current
-    /// run (reset by [`Kernel::reset`]).
-    pub fn queue_stats(&self) -> crate::event::QueueStats {
-        self.queue.stats()
-    }
-
     /// Seeds an event before (or outside) [`Kernel::run`], stamped with
     /// the source component's next sequence number and counted as an
     /// emission of that component.
@@ -142,7 +142,7 @@ impl Kernel {
         let seq = self.seqs[s];
         self.seqs[s] += 1;
         self.emitted[s][event.kind.index()] += 1;
-        self.queue.push(event, seq);
+        self.queue.push(QueuedEvent::new(event, seq));
     }
 
     /// The event counters of one component slot (zeroed stats for ids

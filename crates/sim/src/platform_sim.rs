@@ -67,12 +67,6 @@ impl PlatformScratch {
             self.per_core.resize_with(cores, CoreScratch::default);
         }
     }
-
-    /// The shared event queue's timing-wheel occupancy counters from the
-    /// last run through this scratch (zeroed before each run).
-    pub fn queue_stats(&self) -> crate::QueueStats {
-        self.kernel.queue_stats()
-    }
 }
 
 /// The aggregated result of one multiprocessor run: one [`SimOutcome`]

@@ -174,11 +174,11 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// The event queue's timing-wheel occupancy counters from the last
-    /// kernel-driven run through this scratch (zeroed before each run;
-    /// all-zero after direct oracle runs, which bypass the kernel).
+    /// Always [`crate::QueueStats::default`]: the event queue is one
+    /// binary heap, with no wheel or overflow tier to count. Kept only for
+    /// existing benchmark readers until the next benchmark change.
     pub fn queue_stats(&self) -> crate::QueueStats {
-        self.kernel.queue_stats()
+        crate::QueueStats::default()
     }
 }
 
