@@ -1,5 +1,5 @@
-//! Kernel components: the handler trait, the per-delivery context, the
-//! event-absorbing sink, and the per-core EDF-DVS engine.
+//! Kernel components: the handler trait, the per-delivery context, and
+//! the per-core EDF-DVS engine.
 //!
 //! [`CoreEngine`] is the heart of the refactor: the legacy monolithic
 //! simulator loop, relocated *instruction-for-instruction* into a
@@ -11,22 +11,23 @@
 //! the pre-kernel loop and the results are bit-identical by construction
 //! (pinned by the golden corpus and `kernel_differential`).
 //!
-//! Besides its wake events, the engine emits *note* events (completion,
-//! fault, skip, frame-boundary, budget) to observer components. Notes
-//! carry no float state and exist purely for the per-component counters
-//! surfaced in [`crate::SimOutcome::kernel`] — unbudgeted runs take no
-//! shared-state branch and are unperturbed by them.
+//! The engine emits nothing but its own wakes. Everything it observes
+//! (completions, faults, skips, frame jobs, budget throttles) lands in
+//! its [`SimOutcome`] and [`crate::BudgetReport`]; the one piece of
+//! kernel state it reads is the shared [`BudgetLedger`] of a budgeted
+//! platform run.
 
 use std::collections::BinaryHeap;
 
 use stadvs_power::{EnergyAccumulator, Processor, Speed};
 
-use crate::event::{ComponentId, EventKind, QueuedEvent, SimEvent, EVENT_KINDS};
+use crate::budget::BudgetLedger;
+use crate::event::{ComponentId, EventKind, QueuedEvent, SimEvent};
 use crate::exec::ExecutionSource;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, OverrunPolicy};
 use crate::governor::{Governor, SchedulerView};
 use crate::job::{ActiveJob, JobId, JobRecord};
-use crate::kernel::{KernelStats, SharedState};
+use crate::kernel::SharedState;
 use crate::model::{mk_skip_allowed, ModelReport, SkipPolicy};
 use crate::outcome::SimOutcome;
 use crate::queue::{ReadySet, ReleaseQueue};
@@ -57,7 +58,6 @@ pub trait EventHandler {
 pub struct ComponentCtx<'k> {
     pub(crate) queue: &'k mut BinaryHeap<QueuedEvent>,
     pub(crate) seqs: &'k mut [u64],
-    pub(crate) emitted: &'k mut [[u64; EVENT_KINDS]],
     pub(crate) now: f64,
     pub(crate) delivered: u64,
     pub(crate) shared: &'k mut SharedState,
@@ -97,7 +97,6 @@ impl ComponentCtx<'_> {
         let s = self.self_id.0;
         let seq = self.seqs[s];
         self.seqs[s] += 1;
-        self.emitted[s][kind.index()] += 1;
         self.queue.push(QueuedEvent::new(
             SimEvent {
                 // Clamp within tolerance: queue times must be monotone.
@@ -108,28 +107,6 @@ impl ComponentCtx<'_> {
             },
             seq,
         ));
-    }
-}
-
-/// An event-absorbing observer: the trace sink that note events
-/// (completions, faults, skips, frame boundaries, budget throttles) are
-/// addressed to. All accounting happens in the kernel's per-component
-/// counters, so the component itself is a no-op — it also backs the
-/// handler-table slots of idle platform cores.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceSink;
-
-impl EventHandler for TraceSink {
-    fn handle(&mut self, _event: SimEvent, _ctx: &mut ComponentCtx<'_>) -> Result<(), SimError> {
-        Ok(())
-    }
-}
-
-/// Emits a note event when running under a kernel; a no-op on the
-/// direct (kernel-less) drive path, where only wake scheduling differs.
-fn note(ctx: Option<&mut ComponentCtx<'_>>, time: f64, kind: EventKind, target: ComponentId) {
-    if let Some(ctx) = ctx {
-        ctx.emit(time, kind, target);
     }
 }
 
@@ -226,9 +203,8 @@ pub(crate) struct CoreEngine<'s, G, E: ?Sized> {
     miss_policy: MissPolicy,
     max_events: u64,
     skip_policy: SkipPolicy,
-    self_id: ComponentId,
-    sink: ComponentId,
-    budget: Option<ComponentId>,
+    /// The core's platform index, which keys the budget ledger (its
+    /// kernel slot skips idle cores, so the two can differ).
     core_index: usize,
     faults_on: bool,
     jittered: bool,
@@ -285,9 +261,6 @@ where
         exec: &'s E,
         plan: &'s FaultPlan,
         scratch: &'s mut CoreScratch,
-        self_id: ComponentId,
-        sink: ComponentId,
-        budget: Option<ComponentId>,
         core_index: usize,
     ) -> CoreEngine<'s, G, E> {
         let horizon = config.horizon();
@@ -357,9 +330,6 @@ where
             miss_policy: config.miss_policy(),
             max_events: config.max_events(),
             skip_policy: config.skip_policy(),
-            self_id,
-            sink,
-            budget,
             core_index,
             faults_on,
             jittered,
@@ -392,19 +362,16 @@ where
         self.scratch.ready.is_empty()
     }
 
-    /// One iteration of the legacy simulator loop. `ctx` is `Some` when
-    /// driven by the kernel (note events and budget grants are live) and
-    /// `None` on the direct oracle path — the note branches reduce to
-    /// no-ops there, and no other instruction differs.
+    /// One iteration of the legacy simulator loop. `budget` is the shared
+    /// power-budget ledger of a budgeted kernel run, and `None` otherwise
+    /// (unbudgeted runs and the direct oracle path take the same
+    /// instructions).
     ///
     /// # Errors
     ///
     /// * [`SimError::DeadlineMiss`] under [`MissPolicy::Fail`];
     /// * [`SimError::EventLimitExceeded`] if the runaway guard trips.
-    pub(crate) fn step(
-        &mut self,
-        ctx: &mut Option<&mut ComponentCtx<'_>>,
-    ) -> Result<Step, SimError> {
+    pub(crate) fn step(&mut self, budget: Option<&mut BudgetLedger>) -> Result<Step, SimError> {
         self.events += 1;
         if self.events > self.max_events {
             return Err(SimError::EventLimitExceeded {
@@ -465,10 +432,7 @@ where
                             self.scratch.mk_met[i] &= !(1u64 << (id.index % 64));
                         }
                         TaskKind::Sporadic { .. } => self.model_report.sporadic_jobs += 1,
-                        TaskKind::Frame { .. } => {
-                            self.model_report.frame_jobs += 1;
-                            note(ctx.as_deref_mut(), now, EventKind::FrameBoundary, self.sink);
-                        }
+                        TaskKind::Frame { .. } => self.model_report.frame_jobs += 1,
                     }
                 }
                 // A fault-shed (OverrunPolicy::SkipNext) takes priority
@@ -486,7 +450,6 @@ where
                         at: release,
                         kind: FaultKind::SkippedRelease,
                     });
-                    note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
                     self.contaminated_ids.push(id);
                     self.records.push(JobRecord {
                         id,
@@ -515,7 +478,6 @@ where
                         // job is a loss in the (m,k) window.
                         self.model_report.skips += 1;
                         self.skipped_ids.push(id);
-                        note(ctx.as_deref_mut(), now, EventKind::Skip, self.sink);
                         shed_record = Some(JobRecord {
                             id,
                             release,
@@ -552,7 +514,6 @@ where
                                         delay: release - nominal,
                                     },
                                 });
-                                note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
                             }
                             if self.contamination_active {
                                 job.contaminated = true;
@@ -687,10 +648,8 @@ where
                 self.governor.on_idle(&view);
             }
             // An idle core draws no active power from the shared rail.
-            if let Some(c) = ctx.as_deref_mut() {
-                if let Some(ledger) = c.shared.budget.as_mut() {
-                    ledger.settle_idle(self.core_index);
-                }
+            if let Some(ledger) = budget {
+                ledger.settle_idle(self.core_index);
             }
             let wake = next_arrival.min(horizon).max(now);
             if wake > now {
@@ -798,7 +757,6 @@ where
                         at: now,
                         kind: FaultKind::DroppedSwitch,
                     });
-                    note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
                     speed = self.current_speed;
                 }
             }
@@ -809,14 +767,8 @@ where
         // branch here; overrun-forced full speed overrides the cap (the
         // certificate is already void — recovery wins over the rail).
         if !forced {
-            if let Some(c) = ctx.as_deref_mut() {
-                if let (Some(ledger), Some(budget_id)) = (c.shared.budget.as_mut(), self.budget) {
-                    let granted = ledger.grant(self.core_index, speed, self.processor);
-                    if !granted.same_point(speed) {
-                        c.emit(now, EventKind::Budget, budget_id);
-                        speed = granted;
-                    }
-                }
+            if let Some(ledger) = budget {
+                speed = ledger.grant(self.core_index, speed, self.processor);
             }
         }
         if !speed.same_point(self.current_speed) {
@@ -909,7 +861,6 @@ where
                     at: now,
                     kind: FaultKind::WcetOverrun { factor },
                 });
-                note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
                 self.contamination_active = true;
                 if self.recovery_start.is_none() {
                     self.recovery_start = Some(now);
@@ -943,7 +894,6 @@ where
                             at: now,
                             kind: FaultKind::Aborted,
                         });
-                        note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
                         self.contaminated_ids.push(job.id);
                         self.last_running = None;
                         self.records.push(JobRecord {
@@ -965,7 +915,6 @@ where
                             at: now,
                             kind: FaultKind::ForcedFullSpeed,
                         });
-                        note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
                     }
                     OverrunPolicy::SkipNext => {
                         self.scratch.ready.job_mut(ji).forced_max = true;
@@ -975,7 +924,6 @@ where
                             at: now,
                             kind: FaultKind::ForcedFullSpeed,
                         });
-                        note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
                         self.scratch.skip_next[cur_id.task.0] = true;
                     }
                 }
@@ -1050,7 +998,6 @@ where
                 self.release_epoch,
             );
             self.governor.on_completion(&view, &record);
-            note(ctx.as_deref_mut(), now, EventKind::Completion, self.sink);
             self.records.push(record);
         }
         Ok(Step::Continue)
@@ -1058,14 +1005,12 @@ where
 
     /// The legacy post-loop: drains incomplete jobs, sorts and
     /// deduplicates the attribution lists, and assembles the outcome.
-    /// `kernel` is the engine component's event accounting (zeroed on
-    /// the direct drive path).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::DeadlineMiss`] under [`MissPolicy::Fail`] if
     /// an uncontaminated job already past its deadline never completed.
-    pub(crate) fn finish(mut self, kernel: KernelStats) -> Result<SimOutcome, SimError> {
+    pub(crate) fn finish(mut self) -> Result<SimOutcome, SimError> {
         let horizon = self.horizon;
         // Jobs still incomplete when the horizon ended.
         for job in self.scratch.ready.drain_jobs() {
@@ -1140,7 +1085,6 @@ where
             models: self.model_report,
             release_batches: self.release_batches,
             analysis: self.governor.analysis_stats().unwrap_or_default(),
-            kernel,
             trace: self.trace,
         })
     }
@@ -1156,8 +1100,7 @@ where
             // Horizon already reached; a stray wake is absorbed.
             return Ok(());
         }
-        let mut live = Some(ctx);
-        match self.step(&mut live)? {
+        match self.step(ctx.shared().budget.as_mut())? {
             Step::Continue => {
                 // Self-schedule the next legacy-loop iteration at the
                 // engine's own post-iteration clock. The kind is a label:
@@ -1168,9 +1111,7 @@ where
                 } else {
                     EventKind::Dispatch
                 };
-                if let Some(ctx) = live {
-                    ctx.emit(self.now, kind, self.self_id);
-                }
+                ctx.emit(self.now, kind, ctx.self_id());
             }
             Step::Done => {}
         }

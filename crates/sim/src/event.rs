@@ -31,73 +31,16 @@ use std::cmp::Ordering;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ComponentId(pub usize);
 
-/// Number of distinct [`EventKind`]s (the per-kind counter array width).
-pub const EVENT_KINDS: usize = 7;
-
-/// The closed event taxonomy of the simulation kernel.
+/// The wake taxonomy of the simulation kernel.
 ///
-/// `Release` and `Dispatch` are *wake* events: they drive a core engine's
-/// next step. The remaining kinds are *notes* — semantic observations
-/// (a completion, an injected fault, an (m,k) skip, a frame boundary, a
-/// budget throttle) addressed to observer components. Notes carry no
-/// float state, so they feed the per-component counters without touching
-/// simulation arithmetic.
+/// Both kinds wake a core engine for its next step; the kind is a label
+/// only (the engine runs the same step body either way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// A job release instant (also the engine wake used while idle).
     Release,
-    /// A job completed (executed to its actual demand).
-    Completion,
     /// A dispatch-path engine wake (speed/review/execution continuation).
     Dispatch,
-    /// An injected-fault observation (overrun, jitter, drop, shed, abort,
-    /// forced full speed).
-    Fault,
-    /// A model-layer (m,k) skip of a weakly-hard job.
-    Skip,
-    /// A frame-task release boundary.
-    FrameBoundary,
-    /// A shared-power-budget throttle decision.
-    Budget,
-}
-
-impl EventKind {
-    /// Every kind, in counter-array order.
-    pub const ALL: [EventKind; EVENT_KINDS] = [
-        EventKind::Release,
-        EventKind::Completion,
-        EventKind::Dispatch,
-        EventKind::Fault,
-        EventKind::Skip,
-        EventKind::FrameBoundary,
-        EventKind::Budget,
-    ];
-
-    /// The kind's slot in per-kind counter arrays.
-    pub fn index(self) -> usize {
-        match self {
-            EventKind::Release => 0,
-            EventKind::Completion => 1,
-            EventKind::Dispatch => 2,
-            EventKind::Fault => 3,
-            EventKind::Skip => 4,
-            EventKind::FrameBoundary => 5,
-            EventKind::Budget => 6,
-        }
-    }
-
-    /// A short stable label (used in reports and logs).
-    pub fn label(self) -> &'static str {
-        match self {
-            EventKind::Release => "release",
-            EventKind::Completion => "completion",
-            EventKind::Dispatch => "dispatch",
-            EventKind::Fault => "fault",
-            EventKind::Skip => "skip",
-            EventKind::FrameBoundary => "frame-boundary",
-            EventKind::Budget => "budget",
-        }
-    }
 }
 
 /// One scheduled occurrence: plain `Copy` data, no payload allocation.
@@ -223,14 +166,6 @@ mod tests {
         let forward = drain(events.iter().copied().collect());
         let reverse = drain(events.iter().rev().copied().collect());
         assert_eq!(forward, reverse);
-    }
-
-    #[test]
-    fn kind_indices_are_a_bijection() {
-        for (i, kind) in EventKind::ALL.iter().enumerate() {
-            assert_eq!(kind.index(), i);
-            assert!(!kind.label().is_empty());
-        }
     }
 
     #[test]

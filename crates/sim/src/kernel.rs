@@ -1,14 +1,14 @@
-//! The discrete-event simulation kernel: a shared deterministic clock,
-//! the typed event queue, and per-component event accounting.
+//! The discrete-event simulation kernel: a shared deterministic clock
+//! and the typed wake queue.
 //!
 //! A [`Kernel`] owns the clock and the event queue; the components it
-//! drives (core engines, trace sinks, the budget observer) implement
-//! [`crate::EventHandler`] and are addressed by caller-assigned
-//! [`ComponentId`] slots. [`Kernel::run`] pops events in the total
-//! `(time, seq, source)` order and delivers each to its target with a
-//! [`crate::ComponentCtx`] through which the component reads the clock,
-//! emits future events, and reaches the run-scoped [`SharedState`]
-//! (currently the optional power-budget ledger).
+//! drives (the core engines) implement [`crate::EventHandler`] and are
+//! addressed by caller-assigned [`crate::ComponentId`] slots. [`Kernel::run`]
+//! pops events in the total `(time, seq, source)` order and delivers
+//! each to its target with a [`crate::ComponentCtx`] through which the
+//! component reads the clock, emits future events, and reaches the
+//! run-scoped [`SharedState`] (currently the optional power-budget
+//! ledger).
 //!
 //! The queue is one `std::collections::BinaryHeap` of queued events,
 //! ordered by the reversed `(time, seq, source)` key so the max-heap pops
@@ -16,8 +16,8 @@
 //!
 //! Allocation discipline: the kernel lives inside the run scratch
 //! ([`crate::SimScratch`] / [`crate::PlatformScratch`]) and
-//! [`Kernel::reset`] clears the heap (keeping its buffer) and reuses the
-//! counter tables across runs — the steady-state event path allocates
+//! [`Kernel::reset`] clears the heap and the sequence table (keeping
+//! their buffers) across runs — the steady-state event path allocates
 //! nothing and boxes nothing (components are pre-registered in an
 //! index-addressed slice; events are `Copy`).
 
@@ -25,40 +25,8 @@ use std::collections::BinaryHeap;
 
 use crate::budget::BudgetLedger;
 use crate::component::{ComponentCtx, EventHandler};
-use crate::event::{ComponentId, EventKind, QueuedEvent, SimEvent, EVENT_KINDS};
+use crate::event::{QueuedEvent, SimEvent};
 use crate::SimError;
-
-/// Per-component event counters, by [`EventKind`] slot
-/// (see [`EventKind::index`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelStats {
-    /// Events this component emitted, by kind.
-    pub emitted: [u64; EVENT_KINDS],
-    /// Events delivered to this component, by kind.
-    pub handled: [u64; EVENT_KINDS],
-}
-
-impl KernelStats {
-    /// Total events emitted across all kinds.
-    pub fn emitted_total(&self) -> u64 {
-        self.emitted.iter().sum()
-    }
-
-    /// Total events handled across all kinds.
-    pub fn handled_total(&self) -> u64 {
-        self.handled.iter().sum()
-    }
-
-    /// Events of one kind this component emitted.
-    pub fn emitted_of(&self, kind: EventKind) -> u64 {
-        self.emitted[kind.index()]
-    }
-
-    /// Events of one kind delivered to this component.
-    pub fn handled_of(&self, kind: EventKind) -> u64 {
-        self.handled[kind.index()]
-    }
-}
 
 /// Run-scoped state the kernel lends to every component through
 /// [`ComponentCtx::shared`]. Owned by the kernel (not `Rc<RefCell<_>>`):
@@ -72,14 +40,12 @@ pub struct SharedState {
     pub budget: Option<BudgetLedger>,
 }
 
-/// The discrete-event kernel: clock, deterministic queue, per-component
-/// sequence counters and event accounting.
+/// The discrete-event kernel: clock, deterministic queue and
+/// per-component sequence counters.
 #[derive(Debug, Clone, Default)]
 pub struct Kernel {
     queue: BinaryHeap<QueuedEvent>,
     seqs: Vec<u64>,
-    emitted: Vec<[u64; EVENT_KINDS]>,
-    handled: Vec<[u64; EVENT_KINDS]>,
     now: f64,
     delivered: u64,
     shared: SharedState,
@@ -92,16 +58,12 @@ impl Kernel {
     }
 
     /// Resets for a run with `components` slots and optional shared
-    /// budget state. Reuses every buffer — no allocation once the tables
-    /// have grown to the platform's component count.
+    /// budget state. Reuses every buffer — no allocation once the
+    /// sequence table has grown to the platform's component count.
     pub fn reset(&mut self, components: usize, budget: Option<BudgetLedger>) {
         self.queue.clear();
         self.seqs.clear();
         self.seqs.resize(components, 0);
-        self.emitted.clear();
-        self.emitted.resize(components, [0; EVENT_KINDS]);
-        self.handled.clear();
-        self.handled.resize(components, [0; EVENT_KINDS]);
         self.now = 0.0;
         self.delivered = 0;
         self.shared = SharedState { budget };
@@ -128,8 +90,7 @@ impl Kernel {
     }
 
     /// Seeds an event before (or outside) [`Kernel::run`], stamped with
-    /// the source component's next sequence number and counted as an
-    /// emission of that component.
+    /// the source component's next sequence number.
     ///
     /// Out-of-range source or target ids are rejected in debug builds and
     /// dropped in release builds.
@@ -141,17 +102,7 @@ impl Kernel {
         }
         let seq = self.seqs[s];
         self.seqs[s] += 1;
-        self.emitted[s][event.kind.index()] += 1;
         self.queue.push(QueuedEvent::new(event, seq));
-    }
-
-    /// The event counters of one component slot (zeroed stats for ids
-    /// outside the table).
-    pub fn stats_for(&self, id: ComponentId) -> KernelStats {
-        match (self.emitted.get(id.0), self.handled.get(id.0)) {
-            (Some(&emitted), Some(&handled)) => KernelStats { emitted, handled },
-            _ => KernelStats::default(),
-        }
     }
 
     /// Read access to the shared run state.
@@ -168,7 +119,7 @@ impl Kernel {
     /// Drains the queue, delivering every event to `handlers[target]` in
     /// the deterministic `(time, seq, source)` order. `handlers` is the
     /// pre-registered component table: slot `i` handles events targeted
-    /// at [`ComponentId`]`(i)`.
+    /// at [`crate::ComponentId`]`(i)`.
     ///
     /// The kernel clock is *ordering-only*: component arithmetic uses the
     /// components' own state (a core engine advances its own clock), so
@@ -199,11 +150,9 @@ impl Kernel {
                 debug_assert!(false, "event targets unregistered component: {event:?}");
                 continue;
             }
-            self.handled[t][event.kind.index()] += 1;
             let mut ctx = ComponentCtx {
                 queue: &mut self.queue,
                 seqs: &mut self.seqs,
-                emitted: &mut self.emitted,
                 now: event.time,
                 delivered: self.delivered,
                 shared: &mut self.shared,
@@ -218,6 +167,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{ComponentId, EventKind};
 
     /// Records every delivery and optionally echoes one derived event.
     struct Recorder {
@@ -231,7 +181,7 @@ mod tests {
                 .push((ctx.delivered(), ctx.now(), event.kind, event.source.0));
             if let Some(target) = self.echo_to {
                 if event.kind == EventKind::Release {
-                    ctx.emit(ctx.now() + 1.0, EventKind::Completion, target);
+                    ctx.emit(ctx.now() + 1.0, EventKind::Dispatch, target);
                 }
             }
             Ok(())
@@ -248,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn delivers_in_time_order_and_counts_per_component() {
+    fn delivers_in_time_order() {
         let mut kernel = Kernel::new();
         kernel.reset(2, None);
         kernel.schedule(release_at(1.0, 1));
@@ -266,37 +216,27 @@ mod tests {
             kernel.run(&mut handlers).unwrap();
         }
         // a's release at 0.5 first, then b's at 1.0, then the echoed
-        // completion at 1.5.
+        // dispatch at 1.5.
         assert_eq!(a.log, vec![(1, 0.5, EventKind::Release, 0)]);
         assert_eq!(
             b.log,
             vec![
                 (2, 1.0, EventKind::Release, 1),
-                (3, 1.5, EventKind::Completion, 0)
+                (3, 1.5, EventKind::Dispatch, 0)
             ]
         );
         assert_eq!(kernel.delivered(), 3);
-        assert_eq!(kernel.stats_for(ComponentId(0)).emitted_total(), 2);
-        assert_eq!(
-            kernel
-                .stats_for(ComponentId(0))
-                .emitted_of(EventKind::Completion),
-            1
-        );
-        assert_eq!(kernel.stats_for(ComponentId(1)).handled_total(), 2);
-        assert_eq!(kernel.stats_for(ComponentId(9)), KernelStats::default());
         assert!((kernel.now() - 1.5).abs() < 1e-12);
     }
 
     #[test]
-    fn reset_clears_counters_and_queue() {
+    fn reset_clears_queue() {
         let mut kernel = Kernel::new();
         kernel.reset(1, None);
         kernel.schedule(release_at(0.0, 0));
         kernel.reset(1, None);
         assert_eq!(kernel.pending(), 0);
         assert_eq!(kernel.delivered(), 0);
-        assert_eq!(kernel.stats_for(ComponentId(0)), KernelStats::default());
         assert!(kernel.shared().budget.is_none());
     }
 

@@ -9,16 +9,16 @@
 //! * [`ExecutionSource`] — deterministic per-job *actual* execution demand,
 //! * [`Governor`] — the plug-in interface every DVS algorithm implements;
 //!   it sees a non-clairvoyant [`SchedulerView`] at each scheduling point,
-//! * [`Kernel`] — the discrete-event core: a deterministic queue of typed
-//!   [`SimEvent`]s with a stable `(time, seq, component)` total order,
-//!   delivered to pre-registered [`EventHandler`] components,
+//! * [`Kernel`] — the discrete-event core: a deterministic queue of
+//!   engine wake [`SimEvent`]s with a stable `(time, seq, component)`
+//!   total order, delivered to pre-registered [`EventHandler`] components,
 //! * [`Simulator`] — the preemptive EDF engine (a thin facade over one
 //!   kernel-driven core component): releases, dispatches, preempts,
 //!   applies speed changes (with optional transition latency and energy),
 //!   integrates energy, and records [`JobRecord`]s and an optional
 //!   [`Trace`],
 //! * [`SimOutcome`] — energy breakdown, deadline audit, switch counts,
-//!   per-component event accounting ([`KernelStats`]),
+//!   fault and task-model reports,
 //! * [`PlatformSim`] — N per-core engines under partitioned multiprocessor
 //!   EDF composed on one shared kernel (fresh governor, scratch, and
 //!   energy account per core; no migration), aggregated into a
@@ -73,14 +73,14 @@ mod trace;
 
 pub use audit::{audit_outcome, AuditIssue, AuditReport, MkWindow};
 pub use budget::{BudgetLedger, BudgetReport};
-pub use component::{ComponentCtx, EventHandler, TraceSink};
+pub use component::{ComponentCtx, EventHandler};
 pub use error::SimError;
-pub use event::{ComponentId, EventKind, QueueStats, SimEvent, EVENT_KINDS};
+pub use event::{ComponentId, EventKind, QueueStats, SimEvent};
 pub use exec::{ConstantRatio, ExecutionSource, WorstCase};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, OverrunPolicy};
 pub use governor::{Governor, SchedulerView};
 pub use job::{ActiveJob, JobId, JobRecord};
-pub use kernel::{Kernel, KernelStats, SharedState};
+pub use kernel::{Kernel, SharedState};
 pub use model::{ModelReport, SkipPolicy};
 pub use outcome::{AnalysisStats, SimOutcome};
 pub use platform_sim::{PlatformOutcome, PlatformScratch, PlatformSim};

@@ -4,7 +4,6 @@ use stadvs_power::EnergyBreakdown;
 
 use crate::fault::FaultReport;
 use crate::job::JobRecord;
-use crate::kernel::KernelStats;
 use crate::model::ModelReport;
 use crate::trace::Trace;
 
@@ -59,11 +58,6 @@ pub struct SimOutcome {
     /// Demand-analysis effort counters (quiet for governors without a
     /// per-dispatch slack analysis).
     pub analysis: AnalysisStats,
-    /// The core engine's per-kind event accounting from the simulation
-    /// kernel (`emitted` = wakes and notes this core's engine scheduled,
-    /// `handled` = events delivered to it). Zeroed for idle cores and on
-    /// the kernel-less oracle drive path.
-    pub kernel: KernelStats,
     /// The full execution trace, if recording was enabled.
     pub trace: Option<Trace>,
 }
@@ -171,7 +165,6 @@ mod tests {
             models: ModelReport::default(),
             release_batches: [0; 8],
             analysis: AnalysisStats::default(),
-            kernel: KernelStats::default(),
             trace: None,
         }
     }

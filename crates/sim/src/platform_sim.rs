@@ -2,15 +2,16 @@
 //!
 //! Under partitioned EDF there is no migration: each core schedules its
 //! own task subset with its own governor, its own speed state, and its
-//! own energy account. [`PlatformSim`] drives the N per-core engines as
-//! components of one shared [`crate::Kernel`]: every core is a
-//! pre-registered [`crate::EventHandler`] slot, the kernel pops the
-//! per-core wake events in global `(time, seq, component)` order, and
-//! each delivery executes exactly one step of that core's legacy loop.
-//! Because partitioned cores share no mutable state, this interleaving is
-//! bit-identical per core to running the streams sequentially — and a
-//! 1-core platform is *bit-identical* to the uniprocessor [`Simulator`]
-//! (the differential tests pin both).
+//! own energy account. [`PlatformSim`] drives the per-core engines as
+//! components of one shared [`crate::Kernel`]: each non-idle core is a
+//! pre-registered [`crate::EventHandler`] slot (consecutive ids in core
+//! order), the kernel pops the per-core wake events in global
+//! `(time, seq, component)` order — two cores waking at the same instant
+//! pop fewer-wakes-first, then by id — and each delivery executes exactly
+//! one step of that core's legacy loop. Because partitioned cores share
+//! no mutable state, this interleaving is bit-identical per core to
+//! running each core alone — and a 1-core platform is *bit-identical* to
+//! the uniprocessor [`Simulator`] (the differential tests pin both).
 //!
 //! What the shared kernel adds over sequential stepping is *coupling*:
 //! [`PlatformSim::run_budgeted`] threads a [`BudgetLedger`] through the
@@ -26,12 +27,12 @@
 //! energy — an "empty" core is still powered.
 
 use crate::budget::{BudgetLedger, BudgetReport};
-use crate::component::{CoreEngine, CoreScratch, EventHandler, TraceSink};
+use crate::component::{CoreEngine, CoreScratch, EventHandler};
 use crate::event::{ComponentId, EventKind, SimEvent};
 use crate::exec::ExecutionSource;
 use crate::fault::{FaultPlan, FaultReport};
 use crate::governor::Governor;
-use crate::kernel::{Kernel, KernelStats};
+use crate::kernel::Kernel;
 use crate::outcome::SimOutcome;
 use crate::simulator::{SimConfig, Simulator};
 use crate::task::TaskSet;
@@ -268,26 +269,6 @@ impl PlatformSim {
         )
     }
 
-    /// Like [`PlatformSim::run`], but with a fault plan (applied to every
-    /// core independently).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PlatformSim::run_faulted_with_scratch`].
-    pub fn run_faulted<G, E>(
-        &self,
-        make_governor: G,
-        exec: &E,
-        plan: &FaultPlan,
-    ) -> Result<PlatformOutcome, SimError>
-    where
-        G: FnMut(usize) -> Box<dyn Governor>,
-        E: ExecutionSource + ?Sized,
-    {
-        let execs: Vec<&E> = self.cores.iter().map(|_| exec).collect();
-        self.run_faulted_with_scratch(make_governor, &execs, plan, &mut PlatformScratch::new())
-    }
-
     /// The full-control run: a fresh governor per core from `make_governor`,
     /// one demand source per core in `execs` (entries for idle cores are
     /// never queried), `plan` injected into every core independently (the
@@ -354,11 +335,11 @@ impl PlatformSim {
         Ok((outcome, report.unwrap_or_default()))
     }
 
-    /// The one platform drive path: registers every core engine, the note
-    /// sink, and (when budgeted) the budget observer with the shared
-    /// kernel, seeds each non-idle core's initial release wake, and drains
-    /// the queue. Component layout: core `k` is slot `k`, the sink is slot
-    /// `n`, the budget observer (budgeted runs only) slot `n + 1`.
+    /// The one platform drive path: registers each non-idle core's engine
+    /// with the shared kernel, seeds its initial release wake, and drains
+    /// the queue. Component layout: the non-idle cores take consecutive
+    /// slots in core order; the engine still knows its core index, which
+    /// keys the budget ledger.
     fn run_kernel_backed<G, E>(
         &self,
         mut make_governor: G,
@@ -384,15 +365,6 @@ impl PlatformSim {
             kernel,
             idle_names,
         } = scratch;
-        let sink_id = ComponentId(n);
-        let budgeted = cap.is_some();
-        let budget_id = if budgeted {
-            Some(ComponentId(n + 1))
-        } else {
-            None
-        };
-        kernel.reset(n + 1 + usize::from(budgeted), cap);
-
         // Build the engines in core order — every core (idle or not) gets
         // a fresh governor instance, so factory side effects stay
         // core-ordered exactly as under sequential stepping.
@@ -410,9 +382,6 @@ impl PlatformSim {
                         &execs[core],
                         plan,
                         core_scratch,
-                        ComponentId(core),
-                        sink_id,
-                        budget_id,
                         core,
                     )));
                     idle_names.push(None);
@@ -424,40 +393,29 @@ impl PlatformSim {
                 }
             }
         }
-        for (core, engine) in engines.iter().enumerate() {
-            if engine.is_some() {
-                kernel.schedule(SimEvent {
-                    time: 0.0,
-                    kind: EventKind::Release,
-                    source: ComponentId(core),
-                    target: ComponentId(core),
-                });
-            }
+        let slots = engines.iter().flatten().count();
+        kernel.reset(slots, cap);
+        for slot in 0..slots {
+            kernel.schedule(SimEvent {
+                time: 0.0,
+                kind: EventKind::Release,
+                source: ComponentId(slot),
+                target: ComponentId(slot),
+            });
         }
-        let mut sink = TraceSink;
-        let mut budget_observer = TraceSink;
-        // Idle cores' handler slots are backed by zero-sized sinks; no
-        // events ever target them (nothing is seeded for an idle core).
-        let mut placeholders: Vec<TraceSink> = vec![TraceSink; n];
         {
-            let mut handlers: Vec<&mut dyn EventHandler> = Vec::with_capacity(n + 2);
-            for (engine, placeholder) in engines.iter_mut().zip(placeholders.iter_mut()) {
-                match engine {
-                    Some(e) => handlers.push(e),
-                    None => handlers.push(placeholder),
-                }
-            }
-            handlers.push(&mut sink);
-            if budgeted {
-                handlers.push(&mut budget_observer);
-            }
+            let mut handlers: Vec<&mut dyn EventHandler> = engines
+                .iter_mut()
+                .flatten()
+                .map(|e| e as &mut dyn EventHandler)
+                .collect();
             kernel.run(&mut handlers)?;
         }
         let budget_report = kernel.take_budget().map(|ledger| ledger.report());
         let mut outcomes = Vec::with_capacity(n);
         for (core, engine) in engines.into_iter().enumerate() {
             let outcome = match engine {
-                Some(engine) => engine.finish(kernel.stats_for(ComponentId(core)))?,
+                Some(engine) => engine.finish()?,
                 None => self.idle_outcome(core, idle_names[core].as_deref().unwrap_or_default()),
             };
             outcomes.push(outcome);
@@ -508,7 +466,6 @@ impl PlatformSim {
             models: crate::model::ModelReport::default(),
             release_batches: [0; 8],
             analysis: crate::outcome::AnalysisStats::default(),
-            kernel: KernelStats::default(),
             trace,
         }
     }

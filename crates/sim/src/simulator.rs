@@ -2,12 +2,12 @@
 
 use stadvs_power::Processor;
 
-use crate::component::{CoreEngine, CoreScratch, EventHandler, Step, TraceSink};
+use crate::component::{CoreEngine, CoreScratch, EventHandler, Step};
 use crate::event::{ComponentId, EventKind, SimEvent};
 use crate::exec::ExecutionSource;
 use crate::fault::FaultPlan;
 use crate::governor::Governor;
-use crate::kernel::{Kernel, KernelStats};
+use crate::kernel::Kernel;
 use crate::model::SkipPolicy;
 use crate::outcome::SimOutcome;
 use crate::task::TaskSet;
@@ -157,7 +157,7 @@ impl SimConfig {
 ///
 /// One simulation run needs the per-core scheduling buffers (ready set,
 /// release queue, per-task counters) plus the kernel's event queue and
-/// counter tables. All of them are sized by the task set, not the
+/// sequence table. All of them are sized by the task set, not the
 /// horizon, and all of them are fully reset at the start of each run — so
 /// a single `SimScratch` can be threaded through thousands of runs (the
 /// experiment sweeps do exactly this, one scratch per worker thread)
@@ -343,12 +343,9 @@ impl Simulator {
         E: ExecutionSource + ?Sized,
     {
         let SimScratch { core, kernel } = scratch;
-        // Fixed component layout: the engine is slot 0, the note sink
-        // slot 1 — identical to a 1-core platform's layout, which is what
-        // keeps the uniprocessor and platform event accounting bit-equal.
+        // One component: the engine is slot 0, as on a 1-core platform.
         const ENGINE: ComponentId = ComponentId(0);
-        const SINK: ComponentId = ComponentId(1);
-        kernel.reset(2, None);
+        kernel.reset(1, None);
         let mut engine = CoreEngine::new(
             &self.tasks,
             &self.processor,
@@ -357,9 +354,6 @@ impl Simulator {
             exec,
             plan,
             core,
-            ENGINE,
-            SINK,
-            None,
             0,
         );
         kernel.schedule(SimEvent {
@@ -368,21 +362,15 @@ impl Simulator {
             source: ENGINE,
             target: ENGINE,
         });
-        let mut sink = TraceSink;
-        {
-            let mut handlers: [&mut dyn EventHandler; 2] = [&mut engine, &mut sink];
-            kernel.run(&mut handlers)?;
-        }
-        let stats = kernel.stats_for(ENGINE);
-        engine.finish(stats)
+        kernel.run(&mut [&mut engine as &mut dyn EventHandler])?;
+        engine.finish()
     }
 
     /// Drives the very same [`CoreEngine`] the kernel-backed facade uses,
     /// but directly — no event queue, no kernel clock — as the oracle for
     /// the kernel differential harness: any divergence between this path
     /// and [`Simulator::run_faulted_with_scratch`] is a bug in the kernel
-    /// plumbing, not in the engine. [`SimOutcome::kernel`] is zeroed on
-    /// this path (there is no kernel to count events).
+    /// plumbing, not in the engine.
     ///
     /// Not part of the supported API; use the regular run methods.
     #[doc(hidden)]
@@ -405,13 +393,10 @@ impl Simulator {
             exec,
             plan,
             &mut scratch.core,
-            ComponentId(0),
-            ComponentId(1),
-            None,
             0,
         );
-        while let Step::Continue = engine.step(&mut None)? {}
-        engine.finish(KernelStats::default())
+        while let Step::Continue = engine.step(None)? {}
+        engine.finish()
     }
 }
 

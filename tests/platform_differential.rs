@@ -15,10 +15,18 @@
 //!    referee ([`PlatformSim::audit`]) — for both partitioners, with the
 //!    per-core demand streams routed through the partition's id
 //!    translation.
+//! 3. **Each core runs as if alone.** Partitioned cores share no state,
+//!    so interleaving their wakes on one kernel must leave every core's
+//!    outcome bit-identical to a standalone [`Simulator`] run of that
+//!    core's task set, demand stream and fault plan — with an idle core
+//!    in the middle of the platform shifting the later cores' kernel ids.
 
 use stadvs::experiments::{make_governor, WorkloadCase};
 use stadvs::power::{Platform, Processor};
-use stadvs::sim::{MissPolicy, PlatformSim, SimConfig, SimOutcome, Simulator};
+use stadvs::sim::{
+    FaultPlan, MissPolicy, PlatformScratch, PlatformSim, SimConfig, SimOutcome, SimScratch,
+    Simulator,
+};
 use stadvs::workload::{partitioner_by_name, DemandPattern};
 
 /// The golden-trace corpus parameters (see
@@ -142,8 +150,8 @@ fn multi_core_partitions_keep_the_hard_guarantee() {
                     .run_faulted_with_scratch(
                         |_| make_governor(name).expect("corpus governor exists"),
                         &execs,
-                        &stadvs::sim::FaultPlan::NONE,
-                        &mut stadvs::sim::PlatformScratch::new(),
+                        &FaultPlan::NONE,
+                        &mut PlatformScratch::new(),
                     )
                     .unwrap_or_else(|e| {
                         panic!("{partitioner_name}/{name}/{seed} violated the hard guarantee: {e}")
@@ -152,7 +160,7 @@ fn multi_core_partitions_keep_the_hard_guarantee() {
                 // The per-core audit referee: exact periodic releases, no
                 // overruns, no unattributed misses, on every core.
                 let reports = sim
-                    .audit(&outcome, &stadvs::sim::FaultPlan::NONE)
+                    .audit(&outcome, &FaultPlan::NONE)
                     .expect("outcome matches the platform");
                 assert_eq!(reports.len(), CORES);
                 for (core, audit) in reports.iter().enumerate() {
@@ -164,4 +172,101 @@ fn multi_core_partitions_keep_the_hard_guarantee() {
             }
         }
     }
+}
+
+#[test]
+fn each_core_of_a_partitioned_platform_matches_a_standalone_run() {
+    const PARTITION_CORES: usize = 4;
+    /// The platform core left idle; the partition's cores fill the rest
+    /// in order.
+    const IDLE: usize = 2;
+    const LINEUP: [&str; 5] = ["no-dvs", "cc-edf", "st-edf", "la-edf", "dra"];
+    let config = SimConfig::default()
+        .with_horizon(HORIZON)
+        .expect("valid horizon")
+        .with_trace(true)
+        .with_miss_policy(MissPolicy::Record);
+    // Cores compared behind the idle one, i.e. with a shifted kernel id.
+    let mut shifted = 0usize;
+    for partitioner_name in ["ffd", "wfd"] {
+        let partitioner = partitioner_by_name(partitioner_name).expect("registered");
+        for seed in SEEDS {
+            let case = WorkloadCase::synthetic_union(
+                PARTITION_CORES,
+                N_TASKS,
+                0.5,
+                DemandPattern::Uniform { min: 0.3, max: 1.0 },
+                seed,
+            );
+            let report = partitioner
+                .partition(&case.tasks, PARTITION_CORES)
+                .expect("positive core count");
+            let mut assignments: Vec<_> = (0..PARTITION_CORES)
+                .map(|c| report.core_task_set(&case.tasks, c))
+                .collect();
+            assignments.insert(IDLE, None);
+            let mut execs: Vec<_> = (0..PARTITION_CORES)
+                .map(|c| report.core_demand(&case.exec, c))
+                .collect();
+            // Never queried: the idle core runs nothing.
+            execs.insert(IDLE, execs[0].clone());
+            let sim = PlatformSim::new(
+                Platform::homogeneous(PARTITION_CORES + 1, Processor::ideal_continuous())
+                    .expect("positive core count"),
+                assignments,
+                config.clone(),
+            )
+            .expect("partitions are per-core feasible");
+            let plans = [
+                ("none", FaultPlan::NONE),
+                (
+                    "overrun+jitter",
+                    FaultPlan::new(seed)
+                        .with_overrun(0.25, 1.4)
+                        .expect("valid overrun parameters")
+                        .with_release_jitter(0.3, 0.15)
+                        .expect("valid jitter parameters"),
+                ),
+            ];
+            for (plan_name, plan) in &plans {
+                for name in LINEUP {
+                    let label = format!("{partitioner_name}/{seed}/{plan_name}/{name}");
+                    let outcome = sim
+                        .run_faulted_with_scratch(
+                            |_| make_governor(name).expect("lineup governor exists"),
+                            &execs,
+                            plan,
+                            &mut PlatformScratch::new(),
+                        )
+                        .unwrap_or_else(|e| panic!("{label}: platform run failed: {e}"));
+                    for (core, exec) in execs.iter().enumerate() {
+                        let Some(tasks) = sim.core_tasks(core) else {
+                            continue;
+                        };
+                        let alone = Simulator::new(
+                            tasks.clone(),
+                            Processor::ideal_continuous(),
+                            config.clone(),
+                        )
+                        .expect("same feasibility check as the platform")
+                        .run_faulted_with_scratch(
+                            make_governor(name)
+                                .expect("lineup governor exists")
+                                .as_mut(),
+                            exec,
+                            plan,
+                            &mut SimScratch::new(),
+                        )
+                        .unwrap_or_else(|e| panic!("{label}: core {core} alone failed: {e}"));
+                        assert_eq!(
+                            outcome.cores[core], alone,
+                            "{label}: core {core} diverged from its standalone run"
+                        );
+                        shifted += usize::from(core > IDLE);
+                    }
+                }
+            }
+        }
+    }
+    assert!(shifted > 0, "no core ran behind the idle one");
 }
