@@ -3,7 +3,7 @@
 use std::fmt;
 
 use stadvs_power::Processor;
-use stadvs_sim::{JobId, SegmentKind, SimOutcome, TaskSet};
+use stadvs_sim::{JobId, JobRecord, Segment, SegmentKind, SimOutcome, TaskSet, Trace};
 
 const TOL: f64 = 1.0e-6;
 
@@ -173,7 +173,13 @@ impl fmt::Display for ValidationReport {
 ///    every execution segment runs at an available speed, inside the job's
 ///    `[release, deadline]` window (for jobs that met their deadline), and
 ///    each completed job's traced work equals its recorded actual demand
-///    (work conservation).
+///    (work conservation);
+/// 4. with a trace: the energy bill recomputed from the segments equals
+///    the simulator's accounting.
+///
+/// The trace audit is one pass over the segments: job records are found
+/// through an id-sorted index built once, so the whole audit costs
+/// O((segments + jobs) · log jobs).
 ///
 /// This is the independent referee for the "hard real-time" claim: governors
 /// are audited from the outside, not trusted.
@@ -182,16 +188,25 @@ pub fn validate_outcome(
     tasks: &TaskSet,
     processor: &Processor,
 ) -> ValidationReport {
-    let mut report = ValidationReport {
-        issues: Vec::new(),
+    let mut issues = Vec::new();
+    audit_jobs(outcome, tasks, &mut issues);
+    if let Some(trace) = outcome.trace.as_ref() {
+        audit_trace(outcome, trace, processor, &mut issues);
+        audit_energy(outcome, trace, processor, &mut issues);
+    }
+    ValidationReport {
+        issues,
         jobs_checked: outcome.jobs.len(),
-    };
-    let horizon = outcome.horizon;
+    }
+}
 
-    // 1. Deadline audit.
+/// Checks 1 and 2 of [`validate_outcome`]: deadlines and the release
+/// pattern.
+fn audit_jobs(outcome: &SimOutcome, tasks: &TaskSet, issues: &mut Vec<Issue>) {
+    let horizon = outcome.horizon;
     for r in &outcome.jobs {
         if r.missed(horizon) {
-            report.issues.push(Issue::DeadlineMiss {
+            issues.push(Issue::DeadlineMiss {
                 job: r.id,
                 completed: r.completion.unwrap_or(horizon),
                 deadline: r.deadline,
@@ -199,7 +214,6 @@ pub fn validate_outcome(
         }
     }
 
-    // 2. Release-pattern audit.
     let expected: usize = tasks
         .iter()
         .map(|(_, t)| {
@@ -211,104 +225,141 @@ pub fn validate_outcome(
         })
         .sum();
     if expected != outcome.jobs.len() {
-        report.issues.push(Issue::WrongJobCount {
+        issues.push(Issue::WrongJobCount {
             expected,
             found: outcome.jobs.len(),
         });
     }
+}
 
-    // 3. Trace audit.
-    if let Some(trace) = outcome.trace.as_ref() {
-        let mut cursor = 0.0;
-        for seg in trace.segments() {
-            if (seg.start - cursor).abs() > TOL || seg.end < seg.start - TOL {
-                report.issues.push(Issue::BrokenTimeline { at: seg.start });
-            }
-            cursor = seg.end;
-            if let SegmentKind::Execute { job } = seg.kind {
-                let granted = processor.quantize_up(seg.speed);
-                if (granted.ratio() - seg.speed.ratio()).abs() > 1e-12
-                    || seg.speed.ratio() > 1.0 + 1e-12
-                    || seg.speed.ratio() < processor.min_speed().ratio() - 1e-9
-                {
-                    report.issues.push(Issue::UnavailableSpeed {
-                        at: seg.start,
-                        speed: seg.speed.ratio(),
-                    });
-                }
-                if let Some(rec) = outcome.jobs.iter().find(|r| r.id == job) {
-                    let inside = seg.start >= rec.release - TOL
-                        && (seg.end <= rec.deadline + TOL || rec.missed(horizon));
-                    if !inside {
-                        report
-                            .issues
-                            .push(Issue::ExecutionOutsideWindow { job, at: seg.start });
-                    }
-                }
-            }
-        }
-        if (cursor - horizon).abs() > TOL {
-            report.issues.push(Issue::BrokenTimeline { at: cursor });
-        }
-        for r in &outcome.jobs {
-            let traced = trace.work_executed_for(r.id);
-            if r.completion.is_some() {
-                if (traced - r.actual).abs() > TOL.max(r.actual * 1e-6) {
-                    report.issues.push(Issue::WorkMismatch {
-                        job: r.id,
-                        traced,
-                        actual: r.actual,
-                    });
-                }
-                let traced_wall: f64 = trace
-                    .segments()
-                    .iter()
-                    .filter(|s| matches!(s.kind, SegmentKind::Execute { job } if job == r.id))
-                    .map(|s| s.duration())
-                    .sum();
-                if (traced_wall - r.wall_time).abs() > TOL.max(r.wall_time * 1e-6) {
-                    report.issues.push(Issue::WallTimeMismatch {
-                        job: r.id,
-                        traced: traced_wall,
-                        reported: r.wall_time,
-                    });
-                }
-            } else if traced > r.actual + TOL || traced > r.wcet + TOL {
-                // A job cut off by the horizon can have executed at most its
-                // actual demand (which is itself at most its worst case).
-                report.issues.push(Issue::WorkMismatch {
-                    job: r.id,
-                    traced,
-                    actual: r.actual,
-                });
-            }
-        }
+/// Reports a segment that runs at a speed `processor` does not offer.
+fn audit_speed(seg: &Segment, processor: &Processor, issues: &mut Vec<Issue>) {
+    let granted = processor.quantize_up(seg.speed);
+    if (granted.ratio() - seg.speed.ratio()).abs() > 1e-12
+        || seg.speed.ratio() > 1.0 + 1e-12
+        || seg.speed.ratio() < processor.min_speed().ratio() - 1e-9
+    {
+        issues.push(Issue::UnavailableSpeed {
+            at: seg.start,
+            speed: seg.speed.ratio(),
+        });
+    }
+}
 
-        // 4. Independent energy recomputation from the trace.
-        let (recomputed, switches) = recompute_energy(trace, processor);
-        let checks = [
-            ("active", recomputed.active, outcome.energy.active),
-            ("idle", recomputed.idle, outcome.energy.idle),
-            (
-                "transition",
-                recomputed.transition,
-                outcome.energy.transition,
-            ),
-            ("switches", switches as f64, outcome.switches as f64),
-        ];
-        for (component, got, reported) in checks {
-            let tol = TOL.max(reported.abs() * 1e-6);
-            if (got - reported).abs() > tol {
-                report.issues.push(Issue::EnergyMismatch {
-                    component: component.to_string(),
-                    recomputed: got,
-                    reported,
-                });
+/// Check 3 of [`validate_outcome`], in one pass over the segments.
+///
+/// `by_id` holds `(id, position)` for every record, sorted; a segment's
+/// record is the lowest position with its id (the first match of a linear
+/// scan), and its traced work and wall time accumulate in trace order into
+/// the slot of that first sorted entry. Every record with a given id
+/// therefore reads the same sums, bit for bit those of filtering the trace
+/// by id and summing — duplicated, missing and unsorted records included.
+fn audit_trace(
+    outcome: &SimOutcome,
+    trace: &Trace,
+    processor: &Processor,
+    issues: &mut Vec<Issue>,
+) {
+    let jobs = &outcome.jobs;
+    let horizon = outcome.horizon;
+    let mut by_id: Vec<(JobId, usize)> = jobs.iter().map(|r| r.id).zip(0..).collect();
+    by_id.sort_unstable();
+    let slot_of = |job: JobId| {
+        let k = by_id.partition_point(|&(id, _)| id < job);
+        by_id.get(k).filter(|&&(id, _)| id == job).map(|_| k)
+    };
+    // `-0.0` is the neutral element `Iterator::sum` starts from.
+    let mut work = vec![-0.0; jobs.len()];
+    let mut wall = vec![-0.0; jobs.len()];
+
+    let mut cursor = 0.0;
+    for seg in trace.segments() {
+        if (seg.start - cursor).abs() > TOL || seg.end < seg.start - TOL {
+            issues.push(Issue::BrokenTimeline { at: seg.start });
+        }
+        cursor = seg.end;
+        if let SegmentKind::Execute { job } = seg.kind {
+            audit_speed(seg, processor, issues);
+            if let Some(k) = slot_of(job) {
+                let rec = &jobs[by_id[k].1];
+                let inside = seg.start >= rec.release - TOL
+                    && (seg.end <= rec.deadline + TOL || rec.missed(horizon));
+                if !inside {
+                    issues.push(Issue::ExecutionOutsideWindow { job, at: seg.start });
+                }
+                work[k] += seg.duration() * seg.speed.ratio();
+                wall[k] += seg.duration();
             }
         }
     }
+    if (cursor - horizon).abs() > TOL {
+        issues.push(Issue::BrokenTimeline { at: cursor });
+    }
 
-    report
+    for r in jobs {
+        let Some(k) = slot_of(r.id) else { continue };
+        audit_job_sums(r, work[k], wall[k], issues);
+    }
+}
+
+/// Work conservation and wall-time agreement of one record, given the
+/// work and wall time the trace shows for its id.
+fn audit_job_sums(r: &JobRecord, traced: f64, traced_wall: f64, issues: &mut Vec<Issue>) {
+    if r.completion.is_some() {
+        if (traced - r.actual).abs() > TOL.max(r.actual * 1e-6) {
+            issues.push(Issue::WorkMismatch {
+                job: r.id,
+                traced,
+                actual: r.actual,
+            });
+        }
+        if (traced_wall - r.wall_time).abs() > TOL.max(r.wall_time * 1e-6) {
+            issues.push(Issue::WallTimeMismatch {
+                job: r.id,
+                traced: traced_wall,
+                reported: r.wall_time,
+            });
+        }
+    } else if traced > r.actual + TOL || traced > r.wcet + TOL {
+        // A job cut off by the horizon can have executed at most its
+        // actual demand (which is itself at most its worst case).
+        issues.push(Issue::WorkMismatch {
+            job: r.id,
+            traced,
+            actual: r.actual,
+        });
+    }
+}
+
+/// Check 4 of [`validate_outcome`]: the energy bill recomputed from the
+/// trace against the simulator's accounting.
+fn audit_energy(
+    outcome: &SimOutcome,
+    trace: &Trace,
+    processor: &Processor,
+    issues: &mut Vec<Issue>,
+) {
+    let (recomputed, switches) = recompute_energy(trace, processor);
+    let checks = [
+        ("active", recomputed.active, outcome.energy.active),
+        ("idle", recomputed.idle, outcome.energy.idle),
+        (
+            "transition",
+            recomputed.transition,
+            outcome.energy.transition,
+        ),
+        ("switches", switches as f64, outcome.switches as f64),
+    ];
+    for (component, got, reported) in checks {
+        let tol = TOL.max(reported.abs() * 1e-6);
+        if (got - reported).abs() > tol {
+            issues.push(Issue::EnergyMismatch {
+                component: component.to_string(),
+                recomputed: got,
+                reported,
+            });
+        }
+    }
 }
 
 /// Recomputes the energy bill of a trace from first principles: active and
@@ -317,7 +368,7 @@ pub fn validate_outcome(
 /// (starting from the platform's initial full speed). Returns the breakdown
 /// and the switch count.
 pub fn recompute_energy(
-    trace: &stadvs_sim::Trace,
+    trace: &Trace,
     processor: &Processor,
 ) -> (stadvs_power::EnergyBreakdown, u64) {
     use stadvs_power::Speed;
@@ -491,6 +542,139 @@ mod tests {
             .issues
             .iter()
             .any(|i| matches!(i, Issue::UnavailableSpeed { .. })));
+    }
+
+    /// The audit as it was before the id index: check 3 with a linear
+    /// `find` per segment and two whole-trace scans per record. Kept only
+    /// as the reference the one-pass audit must reproduce.
+    fn reference_validate(
+        outcome: &SimOutcome,
+        tasks: &TaskSet,
+        processor: &Processor,
+    ) -> ValidationReport {
+        let mut issues = Vec::new();
+        audit_jobs(outcome, tasks, &mut issues);
+        if let Some(trace) = outcome.trace.as_ref() {
+            let horizon = outcome.horizon;
+            let mut cursor = 0.0;
+            for seg in trace.segments() {
+                if (seg.start - cursor).abs() > TOL || seg.end < seg.start - TOL {
+                    issues.push(Issue::BrokenTimeline { at: seg.start });
+                }
+                cursor = seg.end;
+                if let SegmentKind::Execute { job } = seg.kind {
+                    audit_speed(seg, processor, &mut issues);
+                    if let Some(rec) = outcome.jobs.iter().find(|r| r.id == job) {
+                        let inside = seg.start >= rec.release - TOL
+                            && (seg.end <= rec.deadline + TOL || rec.missed(horizon));
+                        if !inside {
+                            issues.push(Issue::ExecutionOutsideWindow { job, at: seg.start });
+                        }
+                    }
+                }
+            }
+            if (cursor - horizon).abs() > TOL {
+                issues.push(Issue::BrokenTimeline { at: cursor });
+            }
+            for r in &outcome.jobs {
+                let traced = trace.work_executed_for(r.id);
+                let traced_wall: f64 = trace
+                    .segments()
+                    .iter()
+                    .filter(|s| matches!(s.kind, SegmentKind::Execute { job } if job == r.id))
+                    .map(|s| s.duration())
+                    .sum();
+                audit_job_sums(r, traced, traced_wall, &mut issues);
+            }
+            audit_energy(outcome, trace, processor, &mut issues);
+        }
+        ValidationReport {
+            issues,
+            jobs_checked: outcome.jobs.len(),
+        }
+    }
+
+    #[test]
+    fn one_pass_audit_matches_the_reference() {
+        use stadvs_baselines::{CcEdf, NoDvs};
+        use stadvs_core::SlackEdf;
+        use stadvs_sim::rng::{cases, Rng};
+        use stadvs_sim::{FaultPlan, MissPolicy};
+        use stadvs_workload::{DemandPattern, ExecutionModel, TaskSetSpec};
+
+        let cpu = Processor::ideal_continuous();
+        let (mut cut_off, mut flagged) = (0usize, 0usize);
+        for case in 0..cases(64) {
+            let mut rng = Rng::new(case);
+            let tasks = TaskSetSpec::new(rng.usize_in(2..7), rng.f64_in(0.3..1.0))
+                .and_then(|spec| spec.with_seed(rng.next_u64()).generate())
+                .unwrap_or_else(|e| panic!("case seed {case}: {e}"));
+            let exec = ExecutionModel::new(DemandPattern::Uniform { min: 0.1, max: 1.0 })
+                .expect("valid pattern")
+                .with_seed(rng.next_u64());
+            // Odd cases overrun their budgets, so jobs miss and pile up
+            // unfinished at the horizon.
+            let plan = if case % 2 == 1 {
+                FaultPlan::new(case)
+                    .with_overrun(0.4, 1.8)
+                    .expect("valid overrun")
+            } else {
+                FaultPlan::NONE
+            };
+            let config = SimConfig::new(rng.f64_in(0.5..4.0))
+                .expect("valid horizon")
+                .with_trace(true)
+                .with_miss_policy(MissPolicy::Record);
+            let sim = Simulator::new(tasks.clone(), cpu.clone(), config)
+                .unwrap_or_else(|e| panic!("case seed {case}: {e}"));
+            let governors: [Box<dyn Governor>; 3] = [
+                Box::new(NoDvs::new()),
+                Box::new(CcEdf::new()),
+                Box::new(SlackEdf::new()),
+            ];
+            for mut governor in governors {
+                let out = sim
+                    .run_faulted(governor.as_mut(), &exec, &plan)
+                    .unwrap_or_else(|e| panic!("case seed {case}: {e}"));
+                cut_off += out.jobs.iter().filter(|r| r.completion.is_none()).count();
+
+                let mut reversed = out.clone();
+                reversed.jobs.reverse();
+                // A dropped record leaves its segments without a record.
+                let mut dropped = out.clone();
+                dropped.jobs.remove(rng.usize_in(0..out.jobs.len()));
+                // A perturbed duplicate: which copy a segment's window is
+                // read from now depends on record order.
+                let mut duplicated = out.clone();
+                let mut copy = out.jobs[rng.usize_in(0..out.jobs.len())].clone();
+                copy.release += rng.f64_in(0.0..1.0);
+                copy.actual *= 1.5;
+                duplicated
+                    .jobs
+                    .insert(rng.usize_in(0..out.jobs.len() + 1), copy);
+
+                let variants = [
+                    ("as simulated", out),
+                    ("reversed", reversed),
+                    ("dropped", dropped),
+                    ("duplicated", duplicated),
+                ];
+                for (label, outcome) in &variants {
+                    let fast = validate_outcome(outcome, &tasks, &cpu);
+                    let reference = reference_validate(outcome, &tasks, &cpu);
+                    // Debug prints each float exactly, so this is bitwise.
+                    assert_eq!(
+                        format!("{fast:?}"),
+                        format!("{reference:?}"),
+                        "case seed {case}, {}, {label}",
+                        governor.name()
+                    );
+                    flagged += usize::from(!fast.is_clean());
+                }
+            }
+        }
+        assert!(cut_off > 0, "no job was cut off at the horizon");
+        assert!(flagged > 0, "no variant raised an issue");
     }
 
     #[test]

@@ -29,6 +29,7 @@ use stadvs_workload::{partitioner_by_name, DemandPattern};
 
 use crate::experiments::RunOptions;
 use crate::runner::{make_governor, PlatformWorkload, WorkloadCase, STANDARD_LINEUP};
+use crate::shard::run_sharded;
 use crate::table::Table;
 
 /// Cores on the shared-budget platform.
@@ -60,6 +61,14 @@ fn platform_sim(workload: &PlatformWorkload, platform: &Platform, horizon: f64) 
         SimConfig::new(horizon).expect("experiment horizon is valid"),
     )
     .expect("admitted partitions are feasible per core")
+}
+
+/// What one budgeted run contributes to its (cap, governor) row.
+struct CappedRun {
+    energy: f64,
+    throttles: u64,
+    misses: usize,
+    peak_draw: f64,
 }
 
 /// The per-row report columns.
@@ -94,49 +103,64 @@ pub fn run(opts: &RunOptions) -> Table {
     }
     let platform = Platform::homogeneous(CORES, Processor::ideal_continuous())
         .expect("core counts are positive");
-    let mut scratch = PlatformScratch::new();
 
-    // Per-governor uncapped energies, one per replication — the
-    // normalization denominators for every capped row of that governor.
-    let mut uncapped: Vec<Vec<f64>> = vec![Vec::new(); STANDARD_LINEUP.len()];
-    for (cap_label, cap_watts) in CAPS {
-        for (g, name) in STANDARD_LINEUP.iter().enumerate() {
+    // One shard per (cap, governor, rep) run, in that nesting order.
+    let reps = workloads.len();
+    let lineup = STANDARD_LINEUP.len();
+    let runs = run_sharded(
+        CAPS.len() * lineup * reps,
+        None,
+        PlatformScratch::new,
+        |scratch, i| {
+            let cap_watts = CAPS[i / (lineup * reps)].1;
+            let name = STANDARD_LINEUP[i / reps % lineup];
+            let workload = &workloads[i % reps];
+            let sim = platform_sim(workload, &platform, opts.horizon);
+            let execs: Vec<_> = (0..CORES)
+                .map(|c| workload.partition.core_demand(&workload.case.exec, c))
+                .collect();
+            let (outcome, report) = sim
+                .run_budgeted(
+                    |_| make_governor(name).expect("lineup names are platform-simulable"),
+                    &execs,
+                    cap_watts,
+                    scratch,
+                )
+                .expect("budgeted platform simulation succeeds");
+            CappedRun {
+                energy: outcome.total_energy(),
+                throttles: report.throttles,
+                misses: outcome.miss_count(),
+                peak_draw: report.peak_draw,
+            }
+        },
+    );
+
+    // The first (widest) cap never binds: its runs hold each governor's
+    // uncapped energy per replication, the normalization denominators
+    // for every capped row of that governor.
+    let uncapped = &runs[..lineup * reps];
+    for ((cap_label, cap_watts), cap_runs) in CAPS.iter().zip(runs.chunks(lineup * reps)) {
+        let rows = cap_runs.chunks(reps).zip(uncapped.chunks(reps));
+        for (name, (row, base)) in STANDARD_LINEUP.iter().zip(rows) {
             let mut energy_sum = 0.0;
             let mut normalized_sum = 0.0;
             let mut throttles = 0u64;
             let mut misses = 0usize;
             let mut peak = 0.0f64;
-            for (rep, workload) in workloads.iter().enumerate() {
-                let sim = platform_sim(workload, &platform, opts.horizon);
-                let execs: Vec<_> = (0..CORES)
-                    .map(|c| workload.partition.core_demand(&workload.case.exec, c))
-                    .collect();
-                let (outcome, report) = sim
-                    .run_budgeted(
-                        |_| make_governor(name).expect("lineup names are platform-simulable"),
-                        &execs,
-                        *cap_watts,
-                        &mut scratch,
-                    )
-                    .expect("budgeted platform simulation succeeds");
-                let energy = outcome.total_energy();
-                if uncapped[g].len() == rep {
-                    // First (widest) cap in the sweep: record the
-                    // never-binding baseline.
-                    uncapped[g].push(energy);
-                }
-                energy_sum += energy;
-                normalized_sum += energy / uncapped[g][rep];
-                throttles += report.throttles;
-                misses += outcome.miss_count();
-                peak = peak.max(report.peak_draw);
+            for (run, base) in row.iter().zip(base) {
+                energy_sum += run.energy;
+                normalized_sum += run.energy / base.energy;
+                throttles += run.throttles;
+                misses += run.misses;
+                peak = peak.max(run.peak_draw);
             }
-            let reps = workloads.len() as f64; // xtask:allow(as-cast): mean over reps
+            let n = reps as f64; // xtask:allow(as-cast): mean over reps
             table.push_row(
                 format!("{cap_label}/{name}"),
                 vec![
-                    energy_sum / reps,
-                    normalized_sum / reps,
+                    energy_sum / n,
+                    normalized_sum / n,
                     throttles as f64, // xtask:allow(as-cast): exact small count
                     misses as f64,    // xtask:allow(as-cast): exact small count
                     peak,

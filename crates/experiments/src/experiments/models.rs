@@ -22,11 +22,12 @@
 //! list (see [`crate::runner::governor_caps`]).
 
 use stadvs_power::Processor;
-use stadvs_sim::{audit_outcome, AuditIssue, FaultPlan, SimConfig, SimOutcome, Simulator, TaskSet};
+use stadvs_sim::{audit_outcome, AuditIssue, FaultPlan, SimConfig, SimScratch, Simulator, TaskSet};
 use stadvs_workload::{DemandPattern, ExecutionModel, ModelMix, TaskSetSpec};
 
 use crate::experiments::RunOptions;
 use crate::runner::{capable_lineup, make_governor, required_caps, STANDARD_LINEUP};
+use crate::shard::run_sharded;
 use crate::table::Table;
 
 /// Tasks per synthetic set.
@@ -67,16 +68,66 @@ const STAT_COLUMNS: &[&str] = &[
     "max_streak",
 ];
 
-fn simulate(tasks: &TaskSet, exec: &ExecutionModel, name: &str, horizon: f64) -> SimOutcome {
+/// What one simulation contributes to its (mix, governor) row.
+struct ModelRun {
+    energy: f64,
+    audit_issues: usize,
+    mk_violations: u64,
+    hard_misses: u64,
+    skips: u64,
+    sporadic_jobs: u64,
+    frame_misses: u64,
+    max_streak: u64,
+}
+
+/// One mix's workloads and the lineup able to run them.
+struct MixGroup {
+    label: &'static str,
+    cases: Vec<(TaskSet, ExecutionModel)>,
+    lineup: Vec<&'static str>,
+}
+
+fn simulate(
+    tasks: &TaskSet,
+    exec: &ExecutionModel,
+    name: &str,
+    horizon: f64,
+    scratch: &mut SimScratch,
+) -> ModelRun {
     let mut governor = make_governor(name).expect("lineup names resolve");
     let config = SimConfig::new(horizon).expect("experiment horizon is valid");
     let sim = Simulator::new(tasks.clone(), Processor::ideal_continuous(), config)
         .expect("generated sets are valid");
-    sim.run(governor.as_mut(), exec)
-        .expect("simulation succeeds on valid input")
+    let out = sim
+        .run_with_scratch(governor.as_mut(), exec, scratch)
+        .expect("simulation succeeds on valid input");
+    let audit = audit_outcome(&out, tasks, &FaultPlan::NONE);
+    ModelRun {
+        energy: out.total_energy(),
+        audit_issues: audit.issues.len(),
+        mk_violations: audit
+            .issues
+            .iter()
+            .filter(|i| matches!(i, AuditIssue::MkViolation { .. }))
+            .count() as u64, // xtask:allow(as-cast): small count
+        hard_misses: out
+            .jobs
+            .iter()
+            .filter(|j| j.missed(out.horizon) && tasks.task(j.id.task).is_hard())
+            .count() as u64, // xtask:allow(as-cast): small count
+        skips: out.models.skips,
+        sporadic_jobs: out.models.sporadic_jobs,
+        frame_misses: out.models.frame_misses,
+        max_streak: out.models.max_frame_miss_streak,
+    }
 }
 
 /// Runs the experiment.
+///
+/// Each (mix, governor, rep) simulation is one shard of [`run_sharded`].
+/// `no-dvs` runs every task model, so it is in every mix's lineup, and
+/// its runs are the normalizers of that mix: it is simulated once per
+/// case.
 pub fn run(opts: &RunOptions) -> Table {
     let mut columns = vec!["normalized".to_string()];
     columns.extend(STAT_COLUMNS.iter().map(|s| s.to_string()));
@@ -85,31 +136,62 @@ pub fn run(opts: &RunOptions) -> Table {
         "mix/governor",
         columns,
     );
-    for (label, mix) in mixes() {
-        // The same workload seeds under every mix, so a column reads as
-        // "this exact workload set, re-modelled".
-        let cases: Vec<(TaskSet, ExecutionModel)> = (0..opts.replications)
-            .map(|rep| {
-                let tasks = TaskSetSpec::new(N_TASKS, UTILIZATION)
-                    .expect("experiment parameters are valid")
-                    .with_model_mix(mix)
-                    .expect("mix fits the task count")
-                    .with_seed(rep as u64)
-                    .generate()
-                    .expect("generation succeeds for valid parameters");
-                let exec = ExecutionModel::new(DemandPattern::Uniform { min: 0.2, max: 1.0 })
-                    .expect("experiment pattern is valid")
-                    .with_seed(rep as u64 ^ 0x5EED_5EED_5EED_5EED);
-                (tasks, exec)
-            })
-            .collect();
-        let lineup = capable_lineup(STANDARD_LINEUP, required_caps(&cases[0].0));
-        let baseline: Vec<f64> = cases
+    let groups: Vec<MixGroup> = mixes()
+        .into_iter()
+        .map(|(label, mix)| {
+            // The same workload seeds under every mix, so a column reads
+            // as "this exact workload set, re-modelled".
+            let cases: Vec<(TaskSet, ExecutionModel)> = (0..opts.replications)
+                .map(|rep| {
+                    let tasks = TaskSetSpec::new(N_TASKS, UTILIZATION)
+                        .expect("experiment parameters are valid")
+                        .with_model_mix(mix)
+                        .expect("mix fits the task count")
+                        .with_seed(rep as u64)
+                        .generate()
+                        .expect("generation succeeds for valid parameters");
+                    let exec = ExecutionModel::new(DemandPattern::Uniform { min: 0.2, max: 1.0 })
+                        .expect("experiment pattern is valid")
+                        .with_seed(rep as u64 ^ 0x5EED_5EED_5EED_5EED);
+                    (tasks, exec)
+                })
+                .collect();
+            let lineup = capable_lineup(STANDARD_LINEUP, required_caps(&cases[0].0));
+            MixGroup {
+                label,
+                cases,
+                lineup,
+            }
+        })
+        .collect();
+    let shards: Vec<(&MixGroup, &str, usize)> = groups
+        .iter()
+        .flat_map(|group| {
+            group
+                .lineup
+                .iter()
+                .flat_map(move |&name| (0..group.cases.len()).map(move |rep| (group, name, rep)))
+        })
+        .collect();
+    let runs = run_sharded(shards.len(), None, SimScratch::new, |scratch, i| {
+        let (group, name, rep) = shards[i];
+        let (tasks, exec) = &group.cases[rep];
+        simulate(tasks, exec, name, opts.horizon, scratch)
+    });
+
+    let mut runs = runs.as_slice();
+    for group in &groups {
+        let reps = group.cases.len();
+        let (mix_runs, rest) = runs.split_at(group.lineup.len() * reps);
+        runs = rest;
+        let no_dvs = group
+            .lineup
             .iter()
-            .map(|(tasks, exec)| simulate(tasks, exec, "no-dvs", opts.horizon).total_energy())
-            .collect();
+            .position(|&name| name == "no-dvs")
+            .expect("no-dvs runs every task model");
+        let baseline = &mix_runs[no_dvs * reps..][..reps];
         let mut audit_issues = 0usize;
-        for name in &lineup {
+        for (name, row) in group.lineup.iter().zip(mix_runs.chunks(reps)) {
             let mut normalized_sum = 0.0;
             let mut hard_misses = 0u64;
             let mut mk_violations = 0u64;
@@ -117,42 +199,33 @@ pub fn run(opts: &RunOptions) -> Table {
             let mut sporadic_jobs = 0u64;
             let mut frame_misses = 0u64;
             let mut max_streak = 0u64;
-            for ((tasks, exec), base) in cases.iter().zip(&baseline) {
-                let out = simulate(tasks, exec, name, opts.horizon);
-                let audit = audit_outcome(&out, tasks, &FaultPlan::NONE);
-                audit_issues += audit.issues.len();
-                mk_violations += audit
-                    .issues
-                    .iter()
-                    .filter(|i| matches!(i, AuditIssue::MkViolation { .. }))
-                    .count() as u64; // xtask:allow(as-cast): small count
-                normalized_sum += out.total_energy() / base;
-                hard_misses += out
-                    .jobs
-                    .iter()
-                    .filter(|j| j.missed(out.horizon) && tasks.task(j.id.task).is_hard())
-                    .count() as u64; // xtask:allow(as-cast): small count
-                skips += out.models.skips;
-                sporadic_jobs += out.models.sporadic_jobs;
-                frame_misses += out.models.frame_misses;
-                max_streak = max_streak.max(out.models.max_frame_miss_streak);
+            for (run, base) in row.iter().zip(baseline) {
+                audit_issues += run.audit_issues;
+                mk_violations += run.mk_violations;
+                normalized_sum += run.energy / base.energy;
+                hard_misses += run.hard_misses;
+                skips += run.skips;
+                sporadic_jobs += run.sporadic_jobs;
+                frame_misses += run.frame_misses;
+                max_streak = max_streak.max(run.max_streak);
             }
             table.push_row(
-                format!("{label}/{name}"),
+                format!("{}/{name}", group.label),
                 vec![
-                    normalized_sum / cases.len() as f64, // xtask:allow(as-cast): mean over reps
-                    hard_misses as f64,                  // xtask:allow(as-cast): exact small count
-                    mk_violations as f64,                // xtask:allow(as-cast): exact small count
-                    skips as f64,                        // xtask:allow(as-cast): exact small count
-                    sporadic_jobs as f64,                // xtask:allow(as-cast): exact small count
-                    frame_misses as f64,                 // xtask:allow(as-cast): exact small count
-                    max_streak as f64,                   // xtask:allow(as-cast): exact small count
+                    normalized_sum / reps as f64, // xtask:allow(as-cast): mean over reps
+                    hard_misses as f64,           // xtask:allow(as-cast): exact small count
+                    mk_violations as f64,         // xtask:allow(as-cast): exact small count
+                    skips as f64,                 // xtask:allow(as-cast): exact small count
+                    sporadic_jobs as f64,         // xtask:allow(as-cast): exact small count
+                    frame_misses as f64,          // xtask:allow(as-cast): exact small count
+                    max_streak as f64,            // xtask:allow(as-cast): exact small count
                 ],
             );
         }
         table.note(format!(
-            "{label}: lineup {} of {} governors, audit issues {audit_issues}",
-            lineup.len(),
+            "{}: lineup {} of {} governors, audit issues {audit_issues}",
+            group.label,
+            group.lineup.len(),
             STANDARD_LINEUP.len()
         ));
     }

@@ -8,11 +8,12 @@
 
 use stadvs_analysis::validate_outcome;
 use stadvs_power::Processor;
-use stadvs_sim::{SimConfig, Simulator};
+use stadvs_sim::{SimConfig, SimScratch, Simulator};
 use stadvs_workload::DemandPattern;
 
 use crate::experiments::RunOptions;
 use crate::runner::{make_governor, WorkloadCase, STANDARD_LINEUP};
+use crate::shard::run_sharded;
 use crate::table::Table;
 
 /// The stress mix: (utilization, pattern label, pattern).
@@ -34,7 +35,18 @@ pub fn stress_mix() -> Vec<(f64, DemandPattern)> {
     ]
 }
 
+/// What one audited simulation contributes to its governor's row.
+struct AuditStats {
+    jobs: usize,
+    misses: usize,
+    issues: usize,
+    min_margin: Option<f64>,
+}
+
 /// Runs the audit. Columns: jobs simulated, deadline misses, audit issues.
+///
+/// Each (governor, case) simulation and its audit is one shard of
+/// [`run_sharded`]; a row folds its governor's shards in (mix, rep) order.
 pub fn run(opts: &RunOptions) -> Table {
     let mut table = Table::new(
         "tab3_misses — hard-real-time audit (independent trace validation)",
@@ -47,34 +59,51 @@ pub fn run(opts: &RunOptions) -> Table {
         ],
     );
     let processor = Processor::ideal_continuous();
-    for name in STANDARD_LINEUP {
+    let config = SimConfig::new(opts.horizon)
+        .expect("valid horizon")
+        .with_trace(true);
+    let cases: Vec<WorkloadCase> = stress_mix()
+        .into_iter()
+        .enumerate()
+        .flat_map(|(mi, (u, pattern))| {
+            (0..opts.replications).map(move |rep| {
+                WorkloadCase::synthetic(6, u, pattern.clone(), (mi * 1_000 + rep) as u64)
+            })
+        })
+        .collect();
+    let stats = run_sharded(
+        STANDARD_LINEUP.len() * cases.len(),
+        None,
+        SimScratch::new,
+        |scratch, i| {
+            let (name, case) = (STANDARD_LINEUP[i / cases.len()], &cases[i % cases.len()]);
+            let sim = Simulator::new(case.tasks.clone(), processor.clone(), config.clone())
+                .expect("feasible");
+            let mut governor = make_governor(name).expect("lineup resolves");
+            let outcome = sim
+                .run_with_scratch(governor.as_mut(), &case.exec, scratch)
+                .expect("simulation succeeds");
+            AuditStats {
+                jobs: outcome.jobs.len(),
+                misses: outcome.miss_count(),
+                issues: validate_outcome(&outcome, &case.tasks, &processor)
+                    .issues
+                    .len(),
+                min_margin: outcome.min_margin(),
+            }
+        },
+    );
+    for (name, runs) in STANDARD_LINEUP.iter().zip(stats.chunks(cases.len())) {
         let mut jobs = 0usize;
         let mut misses = 0usize;
         let mut issues = 0usize;
         let mut min_margin = f64::INFINITY;
-        for (mi, (u, pattern)) in stress_mix().into_iter().enumerate() {
-            for rep in 0..opts.replications {
-                let case =
-                    WorkloadCase::synthetic(6, u, pattern.clone(), (mi * 1_000 + rep) as u64);
-                let sim = Simulator::new(
-                    case.tasks.clone(),
-                    processor.clone(),
-                    SimConfig::new(opts.horizon)
-                        .expect("valid horizon")
-                        .with_trace(true),
-                )
-                .expect("feasible");
-                let mut governor = make_governor(name).expect("lineup resolves");
-                let outcome = sim
-                    .run(governor.as_mut(), &case.exec)
-                    .expect("simulation succeeds");
-                let report = validate_outcome(&outcome, &case.tasks, &processor);
-                jobs += outcome.jobs.len();
-                misses += outcome.miss_count();
-                issues += report.issues.len();
-                if let Some(m) = outcome.min_margin() {
-                    min_margin = min_margin.min(m);
-                }
+        for run in runs {
+            jobs += run.jobs;
+            misses += run.misses;
+            issues += run.issues;
+            if let Some(m) = run.min_margin {
+                min_margin = min_margin.min(m);
             }
         }
         table.push_row(
